@@ -28,6 +28,15 @@ void apply_epilogue(Matrix& d, const Matrix* c, const GemmExParams& params) {
   }
 }
 
+/// The gemm_ex fast path: alpha = 1 and (beta = 0, or beta = 1 on a
+/// backend that takes a C input -- every backend but the SDK sample) rides
+/// the kernel accumulator, so no epilogue runs. The kernel then takes C
+/// exactly when beta = 1.
+bool rides_accumulator(const GemmExParams& params, bool takes_c) {
+  return params.alpha == 1.0f &&
+         (params.beta == 0.0f || (params.beta == 1.0f && takes_c));
+}
+
 [[noreturn]] void throw_contract_infeasible(
     const core::AccuracyContract& contract,
     const core::ContractResolution& resolution) {
@@ -84,13 +93,8 @@ void run_grouped_items(
                    item.c->cols() == op_b->cols()));
     std::shared_ptr<const GemmPlan> plan =
         make_plan(i, op_a->rows(), op_b->cols(), op_a->cols());
-    // Same fast-path rules as gemm_ex: beta = 1 rides the kernel
-    // accumulator except on the SDK sample (no C input there).
     const bool fast =
-        item.params.alpha == 1.0f &&
-        (item.params.beta == 0.0f ||
-         (item.params.beta == 1.0f &&
-          plan->backend() != Backend::kSdkFp32));
+        rides_accumulator(item.params, plan->backend() != Backend::kSdkFp32);
     const Matrix* kernel_c =
         fast && item.params.beta == 1.0f ? item.c : nullptr;
     if (!fast) epilogue.push_back(i);
@@ -159,15 +163,9 @@ Matrix gemm_ex(GemmContext& ctx, Backend backend, const Matrix& a,
   EGEMM_EXPECTS(c == nullptr ||
                 (c->rows() == op_a.rows() && c->cols() == op_b.cols()));
 
-  // Fast paths keep the accumulation inside the kernel (beta = 1 rides the
-  // Tensor Core accumulator; the SDK sample has no C input).
-  if (params.alpha == 1.0f) {
-    if (params.beta == 0.0f) {
-      return run_gemm(ctx, backend, op_a, op_b, nullptr);
-    }
-    if (params.beta == 1.0f && backend != Backend::kSdkFp32) {
-      return run_gemm(ctx, backend, op_a, op_b, c);
-    }
+  if (rides_accumulator(params, backend != Backend::kSdkFp32)) {
+    return run_gemm(ctx, backend, op_a, op_b,
+                    params.beta == 1.0f ? c : nullptr);
   }
 
   // The (alpha, beta) scaling is a binary32 epilogue over the kernel
@@ -193,9 +191,8 @@ core::ContractResolution gemm_ex_contract_resolution(
   if (resolved.c_abs <= 0.0) resolved.c_abs = use_c ? max_abs(*c) : 0.0;
   if (!use_c) resolved.c_abs = 0.0;
 
-  const bool fast = params.alpha == 1.0f &&
-                    (params.beta == 0.0f ||
-                     (params.beta == 1.0f && c != nullptr));
+  // Scheme plans always take C.
+  const bool fast = rides_accumulator(params, /*takes_c=*/true);
   double target = contract.max_abs_error;
   double kernel_c_abs = 0.0;
   if (fast) {
@@ -238,9 +235,7 @@ Matrix gemm_ex(GemmContext& ctx, const Matrix& a, const Matrix& b,
   EGEMM_EXPECTS(c == nullptr ||
                 (c->rows() == op_a.rows() && c->cols() == op_b.cols()));
 
-  const bool fast = params.alpha == 1.0f &&
-                    (params.beta == 0.0f ||
-                     (params.beta == 1.0f && c != nullptr));
+  const bool fast = rides_accumulator(params, /*takes_c=*/true);
   const std::shared_ptr<const GemmPlan> plan = ctx.plan_scheme(
       resolution.scheme, op_a.rows(), op_b.cols(), op_a.cols());
   Matrix d;

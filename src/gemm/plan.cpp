@@ -38,28 +38,80 @@ void count_workspace_allocation() noexcept {
 #endif
 }
 
-/// Worker-side stage attribution for one engine invocation (DESIGN.md
-/// §17). Each pool chunk adds its locally accumulated combine time and its
-/// own wall clock's remainder as mma -- one relaxed fetch_add pair per
-/// chunk, read by the issuing thread after the pool join. Chunks overlap
-/// in time across workers, so the totals are *weights*: execute() scales
-/// the single-threaded engine wall segment by mma/(mma+combine) to get
-/// per-stage nanoseconds that sum to the wall time. Engines take the
-/// accumulator as a nullable pointer so the disabled path costs one
-/// predictable branch per chunk.
+/// Worker-side stage attribution for one pipeline run (DESIGN.md §17).
+/// Each walk_blocks call adds its locally accumulated combine time and its
+/// own wall clock's remainder as mma -- one relaxed fetch_add pair per walk,
+/// read by the issuing thread after the pool join. Walks overlap in time
+/// across workers, so the totals are *weights*: the record builder scales
+/// the engine wall segment by mma/(mma+combine) to get per-stage
+/// nanoseconds that sum to the wall time. The walker takes the accumulator
+/// as a nullable pointer so the disabled path costs one predictable branch.
 struct StageAccum {
   std::atomic<std::uint64_t> mma{0};
   std::atomic<std::uint64_t> combine{0};
 };
 
-#if EGEMM_OBSERVABILITY_ENABLED
 /// Thread-local breadcrumb from plan_for to execute: when a caller runs a
 /// plan immediately after looking it up (the GemmContext::run / gemm_ex
 /// path), the record can say whether that lookup hit the plan cache.
 /// Consumed on first use; a plan held across calls reports kUnknown.
-thread_local const void* tl_last_plan = nullptr;
+thread_local const GemmPlan* tl_last_plan = nullptr;
 thread_local obs::PlanLookup tl_last_lookup = obs::PlanLookup::kUnknown;
-#endif
+
+void note_lookup(const GemmPlan* plan, obs::PlanLookup lookup) noexcept {
+  if constexpr (obs::kEnabled) {
+    tl_last_plan = plan;
+    tl_last_lookup = lookup;
+  }
+}
+
+obs::PlanLookup take_lookup(const GemmPlan* plan) noexcept {
+  if (tl_last_plan != plan) return obs::PlanLookup::kUnknown;
+  tl_last_plan = nullptr;
+  return std::exchange(tl_last_lookup, obs::PlanLookup::kUnknown);
+}
+
+/// One item of the execute pipeline: a planned GEMM, its operands, its
+/// leased workspace, and its place in the flattened (item x block) stream.
+/// A block is one packed 16x16 output tile or one 16-row reference band;
+/// blocks are numbered row-major over row_blocks x col_blocks, and the
+/// reference engine has a single band column (none when n == 0).
+struct ItemRun {
+  const GemmPlan* plan = nullptr;
+  const Matrix* a = nullptr;
+  const Matrix* b = nullptr;
+  const Matrix* c = nullptr;
+  Matrix* d = nullptr;
+  Workspace* ws = nullptr;
+  std::size_t row_blocks = 0;
+  std::size_t col_blocks = 0;
+  std::size_t block0 = 0;  ///< offset of the item's first block in the stream
+  std::uint64_t split_ns = 0;
+  std::uint64_t pack_ns = 0;
+
+  std::size_t blocks() const noexcept { return row_blocks * col_blocks; }
+};
+
+ItemRun make_run(const GemmPlan& plan, const Matrix& a, const Matrix& b,
+                 const Matrix* c, Matrix& d) {
+  const bool packed = plan.engine() == ExecEngine::kPacked;
+  return ItemRun{.plan = &plan,
+                 .a = &a,
+                 .b = &b,
+                 .c = c,
+                 .d = &d,
+                 .row_blocks = (plan.m() + kTile - 1) / kTile,
+                 .col_blocks = packed ? (plan.n() + kTile - 1) / kTile
+                                      : std::min<std::size_t>(plan.n(), 1)};
+}
+
+void expect_operands(const PlanKey& key, const Matrix& a, const Matrix& b,
+                     const Matrix* c, const Matrix& d) {
+  EGEMM_EXPECTS(a.rows() == key.m && a.cols() == key.k);
+  EGEMM_EXPECTS(b.rows() == key.k && b.cols() == key.n);
+  EGEMM_EXPECTS(c == nullptr || (c->rows() == key.m && c->cols() == key.n));
+  EGEMM_EXPECTS(&a != &d && &b != &d && c != &d);
+}
 
 /// NaN canonicalization at the D store, as the modeled hardware does: the
 /// Tensor Core emits a canonical quiet NaN, never an input payload. Without
@@ -117,20 +169,15 @@ void compute_c_tile(float acc[kTile][kTile], std::span<const Matrix> ap,
 
 /// One 16-row output band (all column tiles) of the scalar reference
 /// driver -- the seed's execution path, kept as the semantics oracle the
-/// packed engine is pinned against (tests/test_packed_gemm.cpp). Shared
-/// verbatim by the single-GEMM schedule and the grouped flattened stream,
-/// so both are bit-identical by construction. Returns the combine
-/// (writeback) nanoseconds when `timed`.
-std::uint64_t reference_row_block(Matrix& d, std::span<const Matrix> ap,
-                                  std::span<const Matrix> bp,
-                                  std::span<const PlaneCombo> combos,
-                                  ComboOrder order, std::size_t rb,
-                                  bool timed) {
+/// packed engine is pinned against (tests/test_packed_gemm.cpp). Adds the
+/// writeback nanoseconds to `combine_ns` when non-null.
+void reference_row_block(const ItemRun& run, std::size_t rb,
+                         std::uint64_t* combine_ns) {
+  Matrix& d = *run.d;
   const std::size_t m = d.rows();
   const std::size_t n = d.cols();
   const std::size_t i0 = rb * kTile;
   const std::size_t mt = std::min(kTile, m - i0);
-  std::uint64_t combine_local = 0;
   for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
     const std::size_t nt = std::min(kTile, n - j0);
     float acc[kTile][kTile];
@@ -139,49 +186,15 @@ std::uint64_t reference_row_block(Matrix& d, std::span<const Matrix> ap,
         acc[i][j] = d.at(i0 + i, j0 + j);
       }
     }
-    compute_c_tile(acc, ap, bp, i0, j0, mt, nt, combos, order);
-    EGEMM_TRACE_SCOPE("combine");
-    const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
+    compute_c_tile(acc, run.ws->a_planes(), run.ws->b_planes(), i0, j0, mt,
+                   nt, run.plan->combos(), run.plan->order());
+    const obs::StageScope combine("combine", combine_ns);
     for (std::size_t i = 0; i < mt; ++i) {
       for (std::size_t j = 0; j < nt; ++j) {
         d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
       }
     }
-    if (timed) combine_local += obs::monotonic_ns() - t0;
   }
-  return combine_local;
-}
-
-/// Retained scalar reference driver: D += sum over combos of Aplane x
-/// Bplane, tiled and parallelized over row blocks (or run inline when
-/// `serial`, for sub-threshold shapes). `d` arrives initialized with C
-/// (or zeros).
-void reference_engine(Matrix& d, std::span<const Matrix> ap,
-                      std::span<const Matrix> bp,
-                      std::span<const PlaneCombo> combos, ComboOrder order,
-                      bool serial, StageAccum* stages) {
-  const std::size_t row_blocks = (d.rows() + kTile - 1) / kTile;
-  const auto run_range = [&](std::size_t rb0, std::size_t rb1) {
-    EGEMM_TRACE_SCOPE("mma");
-    const std::uint64_t chunk_start =
-        stages != nullptr ? obs::monotonic_ns() : 0;
-    std::uint64_t combine_local = 0;
-    for (std::size_t rb = rb0; rb < rb1; ++rb) {
-      combine_local += reference_row_block(d, ap, bp, combos, order, rb,
-                                           stages != nullptr);
-    }
-    if (stages != nullptr) {
-      const std::uint64_t wall = obs::monotonic_ns() - chunk_start;
-      stages->combine.fetch_add(combine_local, std::memory_order_relaxed);
-      stages->mma.fetch_add(wall > combine_local ? wall - combine_local : 0,
-                            std::memory_order_relaxed);
-    }
-  };
-  if (serial) {
-    run_range(0, row_blocks);
-    return;
-  }
-  util::global_pool().parallel_for(row_blocks, run_range);
 }
 
 /// k-slab length for the kSeparatePasses combo order. Any EVEN value is
@@ -194,17 +207,22 @@ void reference_engine(Matrix& d, std::span<const Matrix> ap,
 constexpr int kSeparateSlab = 512;
 static_assert(kSeparateSlab % 2 == 0);
 
-/// One 16x16 output tile of the packed engine: the whole combo x k-slab
-/// recipe runs in ONE dispatched tcsim::mma_tile_recipe call over the
-/// workspace's pre-packed planes, so the SIMD variants keep the
-/// accumulator in registers across the entire k extent. Shared verbatim by
-/// the single-GEMM 2D schedule and the grouped flattened stream. Returns
-/// the combine (writeback) nanoseconds when `timed`.
-std::uint64_t packed_tile(Matrix& d, const PackedPlanesA& apack,
-                          const PackedPlanesB& bpack, std::size_t k,
-                          std::span<const PlaneCombo> combos, int k_slab,
-                          bool fused, std::size_t rb, std::size_t cb,
-                          bool timed) {
+/// One 16x16 output tile of the packed engine (DESIGN.md §10): the whole
+/// combo x k-slab recipe runs in ONE dispatched tcsim::mma_tile_recipe call
+/// over the workspace's pre-packed planes, so the SIMD variants keep the
+/// accumulator in registers across the entire k extent. Per output element
+/// the operation sequence is identical to the reference driver, so the
+/// result is bit-identical. Adds the writeback nanoseconds to `combine_ns`
+/// when non-null.
+void packed_tile(const ItemRun& run, std::size_t rb, std::size_t cb,
+                 std::uint64_t* combine_ns) {
+  Matrix& d = *run.d;
+  const PackedPlanesA& apack = run.ws->packed_a();
+  const PackedPlanesB& bpack = run.ws->packed_b();
+  const std::span<const PlaneCombo> combos = run.plan->combos();
+  const std::size_t k = run.plan->k();
+  const bool fused = run.plan->order() == ComboOrder::kFusedPerTile;
+  const int k_slab = fused ? static_cast<int>(kTile) : kSeparateSlab;
   const std::size_t m = d.rows();
   const std::size_t n = d.cols();
   const auto ncombos = static_cast<int>(combos.size());
@@ -238,53 +256,64 @@ std::uint64_t packed_tile(Matrix& d, const PackedPlanesA& apack,
     tcsim::mma_tile_recipe(&acc[0][0], a_blocks, b_blocks, ncombos, k,
                            static_cast<int>(k), k_slab, fused);
   }
-  EGEMM_TRACE_SCOPE("combine");
-  const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
+  const obs::StageScope combine("combine", combine_ns);
   for (std::size_t i = 0; i < mt; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
       d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
     }
   }
-  return timed ? obs::monotonic_ns() - t0 : 0;
 }
 
-/// Packed engine (DESIGN.md §10): walks the output tiles on a 2D block
-/// schedule (or inline when `serial`, for sub-threshold shapes). `grain`
-/// is the tuned block size in output tiles (0 = pool default). Per output
-/// element the operation sequence is identical to the reference driver, so
-/// the result is bit-identical. `d` arrives initialized with C (or zeros).
-void packed_engine(Matrix& d, const PackedPlanesA& apack,
-                   const PackedPlanesB& bpack, std::size_t k,
-                   std::span<const PlaneCombo> combos, ComboOrder order,
-                   std::size_t grain, bool serial, StageAccum* stages) {
-  const bool fused = order == ComboOrder::kFusedPerTile;
-  const int k_slab = fused ? static_cast<int>(kTile) : kSeparateSlab;
-  const auto run_block = [&](std::size_t rb0, std::size_t rb1,
-                             std::size_t cb0, std::size_t cb1) {
-    EGEMM_TRACE_SCOPE("mma");
-    EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
-    const std::uint64_t chunk_start =
-        stages != nullptr ? obs::monotonic_ns() : 0;
-    std::uint64_t combine_local = 0;
-    for (std::size_t rb = rb0; rb < rb1; ++rb) {
-      for (std::size_t cb = cb0; cb < cb1; ++cb) {
-        combine_local += packed_tile(d, apack, bpack, k, combos, k_slab,
-                                     fused, rb, cb, stages != nullptr);
+/// The one block walker (DESIGN.md §13): runs blocks [rb0, rb1) x [cb0,
+/// cb1) of one item on the calling thread and, when `stages` is non-null,
+/// adds the walk's combine time and the rest of its wall as mma.
+void walk_blocks(const ItemRun& run, std::size_t rb0, std::size_t rb1,
+                 std::size_t cb0, std::size_t cb1, StageAccum* stages) {
+  std::uint64_t wall = 0;
+  std::uint64_t combine = 0;
+  std::uint64_t* const combine_ns = stages != nullptr ? &combine : nullptr;
+  {
+    const obs::StageScope mma("mma", stages != nullptr ? &wall : nullptr);
+    if (run.plan->engine() == ExecEngine::kPacked) {
+      EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
+      for (std::size_t rb = rb0; rb < rb1; ++rb) {
+        for (std::size_t cb = cb0; cb < cb1; ++cb) {
+          packed_tile(run, rb, cb, combine_ns);
+        }
+      }
+    } else {
+      for (std::size_t rb = rb0; rb < rb1; ++rb) {
+        reference_row_block(run, rb, combine_ns);
       }
     }
-    if (stages != nullptr) {
-      const std::uint64_t wall = obs::monotonic_ns() - chunk_start;
-      stages->combine.fetch_add(combine_local, std::memory_order_relaxed);
-      stages->mma.fetch_add(wall > combine_local ? wall - combine_local : 0,
-                            std::memory_order_relaxed);
-    }
-  };
-  if (serial) {
-    run_block(0, apack.row_blocks(), 0, bpack.col_blocks());
-    return;
   }
-  util::global_pool().parallel_for_2d(apack.row_blocks(), bpack.col_blocks(),
-                                      grain, run_block);
+  if (stages != nullptr) {
+    stages->combine.fetch_add(combine, std::memory_order_relaxed);
+    stages->mma.fetch_add(wall > combine ? wall - combine : 0,
+                          std::memory_order_relaxed);
+  }
+}
+
+/// Runs blocks [g0, g1) of the flattened (item x block) stream, one
+/// walk_blocks call per item row the range touches.
+void walk_stream(std::span<const ItemRun> runs, std::size_t g0,
+                 std::size_t g1, StageAccum* stages) {
+  auto it = std::upper_bound(runs.begin(), runs.end(), g0,
+                             [](std::size_t g, const ItemRun& run) {
+                               return g < run.block0;
+                             }) -
+            1;
+  for (std::size_t g = g0; g < g1; ++it) {
+    const ItemRun& run = *it;
+    const std::size_t end = std::min(g1, run.block0 + run.blocks());
+    while (g < end) {
+      const std::size_t rb = (g - run.block0) / run.col_blocks;
+      const std::size_t cb = (g - run.block0) % run.col_blocks;
+      const std::size_t cb1 = std::min(run.col_blocks, cb + (end - g));
+      walk_blocks(run, rb, rb + 1, cb, cb1, stages);
+      g += cb1 - cb;
+    }
+  }
 }
 
 /// Grows `m` to (rows x cols), counting an actual storage growth.
@@ -354,8 +383,7 @@ ResolvedSchedule resolve_schedule(const TileConfig& requested, std::size_t m,
 std::atomic<std::size_t> g_inline_threshold{0};
 constexpr std::size_t kDefaultInlineThreshold = std::size_t{64} * 64 * 64;
 
-/// Process-unique grouped-execute ids for CallRecord::batch_id (0 means
-/// unbatched, so the first batch is 1).
+/// Process-unique grouped-execute ids for CallRecord::batch_id.
 std::atomic<std::uint32_t> g_batch_counter{0};
 
 /// Floor on the FLOPs a flattened-stream chunk should carry: below ~4
@@ -471,56 +499,221 @@ void count_scheme_execute(std::int8_t scheme) {
   }
 }
 
-#if EGEMM_OBSERVABILITY_ENABLED
-/// Assembles and deposits the per-call telemetry for one execute: the
-/// egemm.execute.latency histogram sample plus a structured CallRecord.
-/// `engine_ns` is the wall segment spent inside the engine; the worker
-/// StageAccum weights apportion it between mma and combine so the four
-/// stage fields sum to at most total_ns. Direct backends pass engine_ns =
-/// 0 and a null accumulator (total only).
-void record_execute_call(const PlanKey& key, std::uint64_t workspace_bytes,
-                         bool with_c, std::uint64_t start_ns,
-                         std::uint64_t split_ns, std::uint64_t pack_ns,
-                         std::uint64_t engine_ns, const StageAccum* stages,
-                         obs::PlanLookup lookup) {
+/// The one CallRecord builder (DESIGN.md §17). Deposits the
+/// egemm.execute.latency sample for the call and one record per shape
+/// class (distinct plan) of `runs`. A single call is a class of one with
+/// batch_id 0. The call wall and the engine wall segment are apportioned by
+/// each class's FLOP share; split/pack are exact per-class sums; the worker
+/// weights in `stages` split a class's engine share between mma and
+/// combine. Direct backends pass engine_ns 0 and zero weights (total only).
+void record_calls(std::span<const ItemRun> runs, std::uint64_t start_ns,
+                  std::uint64_t engine_ns, const StageAccum& stages,
+                  std::uint32_t batch_id, obs::PlanLookup lookup) {
   const std::uint64_t now = obs::monotonic_ns();
-  const std::uint64_t total = now > start_ns ? now - start_ns : 0;
-  EGEMM_LATENCY_RECORD("egemm.execute.latency", total);
-  obs::CallRecord rec;
-  rec.start_ns = start_ns;
-  rec.total_ns = total;
-  rec.split_ns = split_ns;
-  rec.pack_ns = pack_ns;
-  if (stages != nullptr) {
-    const std::uint64_t wm = stages->mma.load(std::memory_order_relaxed);
-    const std::uint64_t wc = stages->combine.load(std::memory_order_relaxed);
+  const std::uint64_t wall = now > start_ns ? now - start_ns : 0;
+  EGEMM_LATENCY_RECORD("egemm.execute.latency", wall);
+  std::uint64_t total_flops = 0;
+  for (const ItemRun& run : runs) {
+    total_flops += 2ULL * run.plan->m() * run.plan->n() * run.plan->k();
+  }
+  const std::uint64_t wm = stages.mma;
+  const std::uint64_t wc = stages.combine;
+  for (std::size_t h = 0; h < runs.size(); ++h) {
+    const GemmPlan* plan = runs[h].plan;
+    if (std::any_of(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(h),
+                    [&](const ItemRun& run) { return run.plan == plan; })) {
+      continue;  // class already recorded at its first item
+    }
+    const PlanKey& key = plan->key();
+    obs::CallRecord rec;
+    rec.start_ns = start_ns;
+    std::uint32_t items = 0;
+    for (const ItemRun& run : runs.subspan(h)) {
+      if (run.plan != plan) continue;
+      ++items;
+      rec.split_ns += run.split_ns;
+      rec.pack_ns += run.pack_ns;
+      const std::size_t d_elems = key.m * key.n;
+      rec.bytes_moved += (key.m * key.k + key.k * key.n + d_elems +
+                          (run.c != nullptr ? d_elems : 0)) *
+                             sizeof(float) +
+                         plan->workspace_bytes();
+    }
+    rec.flops = items * 2ULL * key.m * key.n * key.k;
+    const double share =
+        total_flops == 0 ? static_cast<double>(items) /
+                               static_cast<double>(runs.size())
+                         : static_cast<double>(rec.flops) /
+                               static_cast<double>(total_flops);
+    rec.total_ns =
+        static_cast<std::uint64_t>(static_cast<double>(wall) * share);
+    const auto engine_share = static_cast<std::uint64_t>(
+        static_cast<double>(engine_ns) * share);
     if (wm + wc > 0) {
       rec.mma_ns = static_cast<std::uint64_t>(
-          static_cast<double>(engine_ns) * static_cast<double>(wm) /
+          static_cast<double>(engine_share) * static_cast<double>(wm) /
           static_cast<double>(wm + wc));
-      rec.combine_ns = engine_ns - rec.mma_ns;
+      rec.combine_ns = engine_share - rec.mma_ns;
     } else {
-      rec.mma_ns = engine_ns;
+      rec.mma_ns = engine_share;
     }
+    rec.m = static_cast<std::uint32_t>(key.m);
+    rec.n = static_cast<std::uint32_t>(key.n);
+    rec.k = static_cast<std::uint32_t>(key.k);
+    rec.tid = obs::current_thread_id();
+    rec.batch_id = batch_id;
+    rec.batch = items;
+    rec.scheme = key.scheme;
+    rec.backend = static_cast<std::uint8_t>(key.backend);
+    rec.engine = static_cast<std::uint8_t>(key.engine);
+    rec.isa = static_cast<std::uint8_t>(simd::active_isa());
+    rec.lookup = lookup;
+    obs::record_call(rec);
   }
-  rec.flops = 2ULL * key.m * key.n * key.k;
-  const std::size_t d_elems = key.m * key.n;
-  rec.bytes_moved =
-      (key.m * key.k + key.k * key.n + d_elems + (with_c ? d_elems : 0)) *
-          sizeof(float) +
-      workspace_bytes;
-  rec.m = static_cast<std::uint32_t>(key.m);
-  rec.n = static_cast<std::uint32_t>(key.n);
-  rec.k = static_cast<std::uint32_t>(key.k);
-  rec.tid = obs::current_thread_id();
-  rec.scheme = key.scheme;
-  rec.backend = static_cast<std::uint8_t>(key.backend);
-  rec.engine = static_cast<std::uint8_t>(key.engine);
-  rec.isa = static_cast<std::uint8_t>(simd::active_isa());
-  rec.lookup = lookup;
-  obs::record_call(rec);
 }
-#endif  // EGEMM_OBSERVABILITY_ENABLED
+
+/// Plain binary32 backends: no plane pipeline, a total-only record.
+void run_direct(const ItemRun& run, obs::PlanLookup lookup) {
+  const bool telemetry = obs::call_records_enabled();
+  const std::uint64_t t_start = telemetry ? obs::monotonic_ns() : 0;
+  switch (run.plan->backend()) {
+    case Backend::kCublasFp32:
+      sgemm_fp32_into(*run.a, *run.b, run.c, *run.d);
+      break;
+    case Backend::kSdkFp32:
+      EGEMM_EXPECTS(run.c == nullptr);
+      sdk_gemm_fp32_into(*run.a, *run.b, *run.d);
+      break;
+    case Backend::kDekker:
+      gemm_dekker_into(*run.a, *run.b, run.c, *run.d);
+      break;
+    default:
+      EGEMM_EXPECTS(!"unreachable direct backend");
+      break;
+  }
+  if (telemetry) {
+    record_calls({&run, 1}, t_start, 0, StageAccum{}, 0, lookup);
+  }
+}
+
+/// Per-item prep: split A and B into the item's workspace (the O(N^2) pass
+/// that runs on CUDA cores in the real kernel), initialize D with C (or
+/// zeros), and pack the planes for the packed engine.
+void prep_item(ItemRun& run, bool telemetry) {
+  const PlanKey& key = run.plan->key();
+  EGEMM_COUNTER_ADD("egemm.calls", 1);
+  count_scheme_execute(key.scheme);
+  Workspace& ws = *run.ws;
+  ws.ensure(key.m, key.n, key.k, key.planes);
+  {
+    const obs::StageScope split("split", telemetry ? &run.split_ns : nullptr);
+    split_into_workspace(ws, *run.a, *run.b, key);
+  }
+  run.d->resize(key.m, key.n);
+  if (run.c != nullptr) {
+    std::copy(run.c->data().begin(), run.c->data().end(),
+              run.d->data().begin());
+  } else {
+    run.d->fill(0.0f);
+  }
+  if (key.engine == ExecEngine::kPacked) {
+    const obs::StageScope pack("pack", telemetry ? &run.pack_ns : nullptr);
+    ws.pack();
+  }
+}
+
+/// The one execute pipeline (DESIGN.md §13, §18): split -> init D -> pack
+/// -> block walk -> record, for a group of emulated items. A single
+/// GemmPlan::execute is a one-item group (batch_id 0).
+///
+/// One decision point picks the mode. Serial-fused runs when the stream
+/// would run on one thread anyway -- sub-threshold work (sum of m*n*k under
+/// small_gemm_inline_threshold()) or a single-worker pool: every item
+/// preps and walks back-to-back on ONE recycled workspace, keeping the hot
+/// planes resident as a loop of single calls would. Otherwise the dispatch
+/// selects on item count: one item preps on the calling thread and walks
+/// its tiles on the plan's tuned 2-D schedule; many items lease a
+/// workspace each, prep in parallel over items, then walk the whole
+/// flattened stream in one pool dispatch with a batch-aware grain.
+void run_pipeline(GemmContext& ctx, std::span<ItemRun> runs,
+                  std::uint32_t batch_id, obs::PlanLookup lookup) {
+  const bool telemetry = obs::call_records_enabled();
+  const std::uint64_t t_start = telemetry ? obs::monotonic_ns() : 0;
+  StageAccum accum;
+  StageAccum* const stages = telemetry ? &accum : nullptr;
+
+  std::uint64_t work = 0;
+  std::size_t total_blocks = 0;
+  [[maybe_unused]] std::uint64_t split_elements = 0;
+  for (ItemRun& run : runs) {
+    run.block0 = total_blocks;
+    total_blocks += run.blocks();
+    work += std::uint64_t{run.plan->m()} * run.plan->n() * run.plan->k();
+    split_elements += run.a->data().size() + run.b->data().size();
+  }
+  [[maybe_unused]] const std::uint64_t split_before =
+      core::debug_split_elements();
+
+  const bool serial = work < small_gemm_inline_threshold() ||
+                      util::global_pool().size() <= 1;
+  WorkspaceLease lease = ctx.lease_workspace();
+  std::uint64_t engine_ns = 0;
+  if (serial) {
+    for (ItemRun& run : runs) {
+      run.ws = &*lease;
+      prep_item(run, telemetry);
+      walk_blocks(run, 0, run.row_blocks, 0, run.col_blocks, stages);
+    }
+    // Prep and walks interleave; the walks never overlap, so the engine
+    // wall is the sum of their walls.
+    engine_ns = accum.mma + accum.combine;
+  } else if (runs.size() == 1) {
+    ItemRun& run = runs[0];
+    run.ws = &*lease;
+    prep_item(run, telemetry);
+    const obs::StageScope engine(nullptr, telemetry ? &engine_ns : nullptr);
+    util::global_pool().parallel_for_2d(
+        run.row_blocks, run.col_blocks, run.plan->schedule_grain(),
+        [&](std::size_t rb0, std::size_t rb1, std::size_t cb0,
+            std::size_t cb1) { walk_blocks(run, rb0, rb1, cb0, cb1, stages); });
+  } else {
+    // Leases are taken serially so the free list stays contention-free.
+    std::vector<WorkspaceLease> leases;
+    leases.reserve(runs.size() - 1);
+    runs[0].ws = &*lease;
+    for (std::size_t j = 1; j < runs.size(); ++j) {
+      leases.push_back(ctx.lease_workspace());
+      runs[j].ws = &*leases.back();
+    }
+    util::global_pool().parallel_for(
+        runs.size(), [&](std::size_t j0, std::size_t j1) {
+          for (std::size_t j = j0; j < j1; ++j) prep_item(runs[j], telemetry);
+        });
+    // ~kMinChunkFlops of work per chunk, so tiny items coalesce into one
+    // task while large items still fan out.
+    const std::uint64_t avg_block_flops =
+        total_blocks == 0
+            ? 1
+            : std::max<std::uint64_t>(1, 2 * work / total_blocks);
+    const auto grain = static_cast<std::size_t>(
+        std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
+    const obs::StageScope engine(nullptr, telemetry ? &engine_ns : nullptr);
+    util::global_pool().parallel_for(
+        total_blocks, grain, [&](std::size_t g0, std::size_t g1) {
+          walk_stream(runs, g0, g1, stages);
+        });
+  }
+#ifndef NDEBUG
+  // Each input element must be split exactly once per item -- the plane
+  // cache is the point of the packed engine, so re-splitting anywhere
+  // downstream is a bug.
+  EGEMM_ENSURES(core::debug_split_elements() - split_before ==
+                split_elements);
+#endif
+  if (telemetry) {
+    record_calls(runs, t_start, engine_ns, accum, batch_id, lookup);
+  }
+}
 
 }  // namespace
 
@@ -551,26 +744,16 @@ std::size_t PlanKeyHash::operator()(const PlanKey& key) const noexcept {
     return h ^ (static_cast<std::size_t>(v) + 0x9e3779b97f4a7c15ULL +
                 (h << 6) + (h >> 2));
   };
+  const auto u = [](auto v) { return static_cast<std::uint64_t>(v); };
   std::size_t h = 0;
-  h = mix(h, key.m);
-  h = mix(h, key.n);
-  h = mix(h, key.k);
-  h = mix(h, static_cast<std::uint64_t>(key.backend));
-  h = mix(h, key.direct ? 1u : 0u);
-  h = mix(h, static_cast<std::uint64_t>(key.split));
-  h = mix(h, static_cast<std::uint64_t>(key.engine));
-  h = mix(h, static_cast<std::uint64_t>(key.order));
-  h = mix(h, static_cast<std::uint64_t>(key.planes));
-  h = mix(h, static_cast<std::uint64_t>(key.combo_count));
-  h = mix(h, key.combo_seq);
-  h = mix(h, static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(key.scheme)));
-  h = mix(h, static_cast<std::uint64_t>(key.bm));
-  h = mix(h, static_cast<std::uint64_t>(key.bn));
-  h = mix(h, static_cast<std::uint64_t>(key.bk));
-  h = mix(h, static_cast<std::uint64_t>(key.wm));
-  h = mix(h, static_cast<std::uint64_t>(key.wn));
-  h = mix(h, static_cast<std::uint64_t>(key.wk));
+  for (const std::uint64_t v :
+       {u(key.m), u(key.n), u(key.k), u(key.backend), u(key.direct),
+        u(key.split), u(key.engine), u(key.order), u(key.planes),
+        u(key.combo_count), key.combo_seq,
+        u(static_cast<std::uint8_t>(key.scheme)), u(key.bm), u(key.bn),
+        u(key.bk), u(key.wm), u(key.wn), u(key.wk)}) {
+    h = mix(h, v);
+  }
   return h;
 }
 
@@ -631,136 +814,17 @@ GemmPlan::GemmPlan(const PlanKey& key, std::size_t grain)
 
 void GemmPlan::execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
                        const Matrix* c, Matrix& d) const {
-  EGEMM_EXPECTS(a.rows() == key_.m && a.cols() == key_.k);
-  EGEMM_EXPECTS(b.rows() == key_.k && b.cols() == key_.n);
-  EGEMM_EXPECTS(c == nullptr ||
-                (c->rows() == key_.m && c->cols() == key_.n));
-  EGEMM_EXPECTS(&a != &d && &b != &d && c != &d);
-
-#if EGEMM_OBSERVABILITY_ENABLED
+  expect_operands(key_, a, b, c, d);
   // Consume the plan_for breadcrumb whether or not recording is on, so a
   // stale hit/miss never attaches to a later call through a held plan.
-  obs::PlanLookup lookup = obs::PlanLookup::kUnknown;
-  if (tl_last_plan == this) {
-    lookup = tl_last_lookup;
-    tl_last_plan = nullptr;
-    tl_last_lookup = obs::PlanLookup::kUnknown;
-  }
-  const bool telemetry = obs::call_records_enabled();
-  const std::uint64_t t_start = telemetry ? obs::monotonic_ns() : 0;
-#endif
-
+  const obs::PlanLookup lookup = take_lookup(this);
+  ItemRun run = make_run(*this, a, b, c, d);
   if (key_.direct) {
-    switch (key_.backend) {
-      case Backend::kCublasFp32:
-        sgemm_fp32_into(a, b, c, d);
-        break;
-      case Backend::kSdkFp32:
-        EGEMM_EXPECTS(c == nullptr);
-        sdk_gemm_fp32_into(a, b, d);
-        break;
-      case Backend::kDekker:
-        gemm_dekker_into(a, b, c, d);
-        break;
-      default:
-        EGEMM_EXPECTS(!"unreachable direct backend");
-        break;
-    }
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) {
-      record_execute_call(key_, workspace_bytes_, c != nullptr, t_start,
-                          /*split_ns=*/0, /*pack_ns=*/0, /*engine_ns=*/0,
-                          /*stages=*/nullptr, lookup);
-    }
-#endif
+    run_direct(run, lookup);
     return;
   }
-
   EGEMM_TRACE_SCOPE("egemm_multiply");
-  EGEMM_COUNTER_ADD("egemm.calls", 1);
-  count_scheme_execute(key_.scheme);
-
-  WorkspaceLease lease = ctx.lease_workspace();
-  Workspace& ws = *lease;
-  ws.ensure(key_.m, key_.n, key_.k, key_.planes);
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  std::uint64_t split_ns = 0;
-  std::uint64_t pack_ns = 0;
-  StageAccum stage_accum;
-  StageAccum* const stages = telemetry ? &stage_accum : nullptr;
-#else
-  StageAccum* const stages = nullptr;
-#endif
-
-  // The O(N^2) data-split pass (runs on CUDA cores in the real kernel).
-  // Plane 0 = lo; for three-way splits: lo, mid, hi.
-#ifndef NDEBUG
-  const std::uint64_t split_before = core::debug_split_elements();
-#endif
-  {
-    EGEMM_TRACE_SCOPE("split");
-#if EGEMM_OBSERVABILITY_ENABLED
-    const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-#endif
-    split_into_workspace(ws, a, b, key_);
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) split_ns = obs::monotonic_ns() - t0;
-#endif
-  }
-#ifndef NDEBUG
-  // Each input element must be split exactly once per GEMM call -- the
-  // plane cache is the point of the packed engine, so re-splitting
-  // anywhere downstream is a bug.
-  EGEMM_ENSURES(core::debug_split_elements() - split_before ==
-                a.data().size() + b.data().size());
-#endif
-
-  d.resize(key_.m, key_.n);
-  if (c != nullptr) {
-    std::copy(c->data().begin(), c->data().end(), d.data().begin());
-  } else {
-    d.fill(0.0f);
-  }
-
-  // Sub-threshold shapes run the engine inline: the pool round-trip costs
-  // more than the work it would distribute (satellite knob; DESIGN.md §18).
-  const bool serial =
-      key_.m * key_.n * key_.k < small_gemm_inline_threshold();
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  std::uint64_t t_engine = 0;
-#endif
-  if (key_.engine == ExecEngine::kPacked) {
-    {
-      EGEMM_TRACE_SCOPE("pack");
-#if EGEMM_OBSERVABILITY_ENABLED
-      const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-#endif
-      ws.pack();
-#if EGEMM_OBSERVABILITY_ENABLED
-      if (telemetry) pack_ns = obs::monotonic_ns() - t0;
-#endif
-    }
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) t_engine = obs::monotonic_ns();
-#endif
-    packed_engine(d, ws.packed_a(), ws.packed_b(), key_.k, combos_,
-                  key_.order, grain_, serial, stages);
-  } else {
-#if EGEMM_OBSERVABILITY_ENABLED
-    if (telemetry) t_engine = obs::monotonic_ns();
-#endif
-    reference_engine(d, ws.a_planes(), ws.b_planes(), combos_, key_.order,
-                     serial, stages);
-  }
-#if EGEMM_OBSERVABILITY_ENABLED
-  if (telemetry) {
-    record_execute_call(key_, workspace_bytes_, c != nullptr, t_start,
-                        split_ns, pack_ns, obs::monotonic_ns() - t_engine,
-                        stages, lookup);
-  }
-#endif
+  run_pipeline(ctx, {&run, 1}, /*batch_id=*/0, lookup);
 }
 
 KernelTiming GemmPlan::timing(const tcsim::GpuSpec& spec) const {
@@ -889,25 +953,18 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
       lru_.splice(lru_.begin(), lru_, it->second);
       ++hits_;
       EGEMM_COUNTER_ADD("gemm.plan.hit", 1);
-#if EGEMM_OBSERVABILITY_ENABLED
-      tl_last_plan = lru_.front().plan.get();
-      tl_last_lookup = obs::PlanLookup::kHit;
-#endif
+      note_lookup(lru_.front().plan.get(), obs::PlanLookup::kHit);
       return lru_.front().plan;
     }
   }
 
   std::shared_ptr<const GemmPlan> created;
+  std::uint64_t build_ns = 0;
   {
-    EGEMM_TRACE_SCOPE("plan");
-#if EGEMM_OBSERVABILITY_ENABLED
-    const std::uint64_t t0 = obs::monotonic_ns();
-#endif
+    const obs::StageScope build("plan", &build_ns);
     created = std::shared_ptr<const GemmPlan>(new GemmPlan(key, grain));
-#if EGEMM_OBSERVABILITY_ENABLED
-    EGEMM_LATENCY_RECORD("gemm.plan.build.latency", obs::monotonic_ns() - t0);
-#endif
   }
+  EGEMM_LATENCY_RECORD("gemm.plan.build.latency", build_ns);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   ++misses_;
@@ -918,10 +975,7 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
   const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-#if EGEMM_OBSERVABILITY_ENABLED
-    tl_last_plan = lru_.front().plan.get();
-    tl_last_lookup = obs::PlanLookup::kMiss;
-#endif
+    note_lookup(lru_.front().plan.get(), obs::PlanLookup::kMiss);
     return lru_.front().plan;
   }
   lru_.push_front(CacheEntry{key, created});
@@ -934,10 +988,7 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
   }
   EGEMM_GAUGE_SET("gemm.plan.cache.size",
                   static_cast<std::int64_t>(lru_.size()));
-#if EGEMM_OBSERVABILITY_ENABLED
-  tl_last_plan = created.get();
-  tl_last_lookup = obs::PlanLookup::kMiss;
-#endif
+  note_lookup(created.get(), obs::PlanLookup::kMiss);
   return created;
 }
 
@@ -1008,12 +1059,7 @@ void GemmContext::execute_grouped(std::span<const GroupedGemm> items) {
   for (const GroupedGemm& item : items) {
     EGEMM_EXPECTS(item.plan != nullptr && item.a != nullptr &&
                   item.b != nullptr && item.d != nullptr);
-    const PlanKey& key = item.plan->key_;
-    EGEMM_EXPECTS(item.a->rows() == key.m && item.a->cols() == key.k);
-    EGEMM_EXPECTS(item.b->rows() == key.k && item.b->cols() == key.n);
-    EGEMM_EXPECTS(item.c == nullptr ||
-                  (item.c->rows() == key.m && item.c->cols() == key.n));
-    EGEMM_EXPECTS(item.a != item.d && item.b != item.d && item.c != item.d);
+    expect_operands(item.plan->key(), *item.a, *item.b, item.c, *item.d);
   }
 #ifndef NDEBUG
   // Outputs must not alias across items: the flattened stream writes every
@@ -1031,271 +1077,23 @@ void GemmContext::execute_grouped(std::span<const GroupedGemm> items) {
 
   // Direct binary32 items have no plane pipeline to flatten; run them as
   // plain executes and group only the emulated items.
-  std::vector<std::size_t> emulated;
-  emulated.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].plan->key_.direct) {
-      items[i].plan->execute(*this, *items[i].a, *items[i].b, items[i].c,
-                             *items[i].d);
+  std::vector<ItemRun> runs;
+  runs.reserve(items.size());
+  for (const GroupedGemm& item : items) {
+    if (item.plan->direct()) {
+      item.plan->execute(*this, *item.a, *item.b, item.c, *item.d);
     } else {
-      emulated.push_back(i);
+      runs.push_back(make_run(*item.plan, *item.a, *item.b, item.c, *item.d));
     }
   }
-  if (emulated.empty()) return;
+  if (runs.empty()) return;
 
   EGEMM_TRACE_SCOPE("egemm_grouped");
-#if EGEMM_OBSERVABILITY_ENABLED
-  const bool telemetry = obs::call_records_enabled();
-#else
-  constexpr bool telemetry = false;
-#endif
-  const std::uint64_t t_start = telemetry ? obs::monotonic_ns() : 0;
+  // Process-unique grouped-execute id; 0 means unbatched, so the first
+  // batch is 1.
   const std::uint32_t batch_id =
       g_batch_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  static_cast<void>(batch_id);
-
-  // The flattened (item x block) stream layout. A "block" is one packed
-  // output tile, or one 16-row reference band; `first[j]` is item j's
-  // offset into the stream, so workers binary-search their chunk's start.
-  // (Each run's workspace is attached below, once the execution mode --
-  // pipelined or serial-fused -- has decided how many leases exist.)
-  struct ItemRun {
-    const GemmPlan* plan = nullptr;
-    Matrix* d = nullptr;
-    Workspace* ws = nullptr;
-    std::size_t col_blocks = 1;  ///< packed engine only
-    int k_slab = 0;
-    bool fused = false;
-    bool packed = false;
-  };
-  std::vector<ItemRun> runs(emulated.size());
-  std::vector<std::size_t> first(emulated.size() + 1, 0);
-  std::uint64_t total_flops = 0;
-  for (std::size_t j = 0; j < emulated.size(); ++j) {
-    const GroupedGemm& item = items[emulated[j]];
-    const PlanKey& key = item.plan->key_;
-    ItemRun& run = runs[j];
-    run.plan = item.plan.get();
-    run.d = item.d;
-    run.packed = key.engine == ExecEngine::kPacked;
-    run.fused = key.order == ComboOrder::kFusedPerTile;
-    run.k_slab = run.fused ? static_cast<int>(kTile) : kSeparateSlab;
-    const std::size_t row_blocks = (key.m + kTile - 1) / kTile;
-    std::size_t blocks = row_blocks;
-    if (run.packed) {
-      run.col_blocks = (key.n + kTile - 1) / kTile;
-      blocks = key.n == 0 ? 0 : row_blocks * run.col_blocks;
-    } else if (key.n == 0) {
-      blocks = 0;
-    }
-    first[j + 1] = first[j] + blocks;
-    total_flops += 2ULL * key.m * key.n * key.k;
-  }
-  const std::size_t total_blocks = first.back();
-
-  std::vector<std::uint64_t> split_ns(emulated.size(), 0);
-  std::vector<std::uint64_t> pack_ns(emulated.size(), 0);
-#ifndef NDEBUG
-  const std::uint64_t split_before = core::debug_split_elements();
-  std::uint64_t expected_split = 0;
-  for (const std::size_t i : emulated) {
-    expected_split += items[i].a->data().size() + items[i].b->data().size();
-  }
-#endif
-  // Per-item prep: workspace split, output init, pack.
-  const auto prep_one = [&](std::size_t j, Workspace& ws) {
-    const GroupedGemm& item = items[emulated[j]];
-    const PlanKey& key = item.plan->key_;
-    ws.ensure(key.m, key.n, key.k, key.planes);
-    {
-      EGEMM_TRACE_SCOPE("split");
-      const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-      split_into_workspace(ws, *item.a, *item.b, key);
-      if (telemetry) split_ns[j] = obs::monotonic_ns() - t0;
-    }
-    item.d->resize(key.m, key.n);
-    if (item.c != nullptr) {
-      std::copy(item.c->data().begin(), item.c->data().end(),
-                item.d->data().begin());
-    } else {
-      item.d->fill(0.0f);
-    }
-    if (key.engine == ExecEngine::kPacked) {
-      EGEMM_TRACE_SCOPE("pack");
-      const std::uint64_t t0 = telemetry ? obs::monotonic_ns() : 0;
-      ws.pack();
-      if (telemetry) pack_ns[j] = obs::monotonic_ns() - t0;
-    }
-    EGEMM_COUNTER_ADD("egemm.calls", 1);
-    count_scheme_execute(key.scheme);
-  };
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  StageAccum stage_accum;
-  StageAccum* const stages = telemetry ? &stage_accum : nullptr;
-#else
-  StageAccum* const stages = nullptr;
-#endif
-  const auto run_blocks = [&](std::size_t g0, std::size_t g1) {
-    EGEMM_TRACE_SCOPE("mma");
-    const std::uint64_t chunk_start =
-        stages != nullptr ? obs::monotonic_ns() : 0;
-    std::uint64_t combine_local = 0;
-    auto idx = static_cast<std::size_t>(
-        std::upper_bound(first.begin(), first.end(), g0) - first.begin() - 1);
-    for (std::size_t g = g0; g < g1; ++idx) {
-      const ItemRun& run = runs[idx];
-      const std::size_t end = std::min(g1, first[idx + 1]);
-      const PlanKey& key = run.plan->key_;
-      if (run.packed) {
-        EGEMM_COUNTER_ADD("egemm.tiles", end - g);
-        for (; g < end; ++g) {
-          const std::size_t local = g - first[idx];
-          combine_local += packed_tile(
-              *run.d, run.ws->packed_a(), run.ws->packed_b(), key.k,
-              run.plan->combos_, run.k_slab, run.fused,
-              local / run.col_blocks, local % run.col_blocks,
-              stages != nullptr);
-        }
-      } else {
-        for (; g < end; ++g) {
-          combine_local += reference_row_block(
-              *run.d, run.ws->a_planes(), run.ws->b_planes(),
-              run.plan->combos_, key.order, g - first[idx],
-              stages != nullptr);
-        }
-      }
-    }
-    if (stages != nullptr) {
-      const std::uint64_t wall = obs::monotonic_ns() - chunk_start;
-      stages->combine.fetch_add(combine_local, std::memory_order_relaxed);
-      stages->mma.fetch_add(wall > combine_local ? wall - combine_local : 0,
-                            std::memory_order_relaxed);
-    }
-  };
-
-  // Serial fusion: when the stream runs on one thread anyway -- a
-  // single-worker pool, or a sub-threshold batch (same inline knob as
-  // single executes, applied to the aggregate work) -- prep and run each
-  // item back-to-back on ONE recycled workspace. The two-stage pipeline
-  // leases a workspace per item, trading cache locality for parallelism;
-  // with no parallelism to buy, fusing keeps the hot split/pack planes
-  // resident across items exactly as a loop of single executes would,
-  // while still amortizing the per-call costs the batch API exists to
-  // amortize.
-  const bool fuse_serial =
-      util::global_pool().size() <= 1 ||
-      total_flops / 2 < small_gemm_inline_threshold();
-  std::uint64_t t_engine = 0;
-  std::vector<WorkspaceLease> leases;
-  if (fuse_serial) {
-    WorkspaceLease lease = lease_workspace();
-    for (std::size_t j = 0; j < emulated.size(); ++j) {
-      runs[j].ws = &*lease;
-      prep_one(j, *lease);
-      run_blocks(first[j], first[j + 1]);
-    }
-  } else {
-    // Stage A: per-item prep, parallel over items. Leases are taken
-    // serially so the pool stays contention-free.
-    leases.reserve(emulated.size());
-    for (std::size_t j = 0; j < emulated.size(); ++j) {
-      leases.push_back(lease_workspace());
-      runs[j].ws = &*leases[j];
-    }
-    util::global_pool().parallel_for(
-        emulated.size(), [&](std::size_t j0, std::size_t j1) {
-          for (std::size_t j = j0; j < j1; ++j) prep_one(j, *runs[j].ws);
-        });
-    // Stage B: the whole stream through one pool dispatch with a
-    // batch-aware grain (~kMinChunkFlops of work per chunk).
-    t_engine = telemetry ? obs::monotonic_ns() : 0;
-    const std::uint64_t avg_block_flops =
-        total_blocks == 0 ? 1
-                          : std::max<std::uint64_t>(
-                                1, total_flops / total_blocks);
-    const auto grain = static_cast<std::size_t>(
-        std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
-    util::global_pool().parallel_for(total_blocks, grain, run_blocks);
-  }
-#ifndef NDEBUG
-  // Every input element of the batch is split exactly once (aggregate
-  // form of the per-call guard in GemmPlan::execute).
-  EGEMM_ENSURES(core::debug_split_elements() - split_before ==
-                expected_split);
-#endif
-
-#if EGEMM_OBSERVABILITY_ENABLED
-  if (!telemetry) return;
-  // One CallRecord per shape class (= per distinct plan), all tagged with
-  // this batch's id. The batch wall and the engine wall are apportioned by
-  // each class's FLOP share; split/pack are exact per-class sums.
-  const std::uint64_t now = obs::monotonic_ns();
-  const std::uint64_t batch_wall = now > t_start ? now - t_start : 0;
-  EGEMM_LATENCY_RECORD("egemm.execute.latency", batch_wall);
-  const std::uint64_t wm = stage_accum.mma.load(std::memory_order_relaxed);
-  const std::uint64_t wc =
-      stage_accum.combine.load(std::memory_order_relaxed);
-  // Fused mode interleaves prep and engine work, so the engine wall is the
-  // sum of the per-chunk walls (serial chunks never overlap); pipelined
-  // mode reads it off the stage B dispatch window.
-  const std::uint64_t engine_wall =
-      fuse_serial ? wm + wc : (now > t_engine ? now - t_engine : 0);
-  std::vector<const GemmPlan*> seen;
-  seen.reserve(runs.size());
-  for (const ItemRun& head : runs) {
-    if (std::find(seen.begin(), seen.end(), head.plan) != seen.end()) {
-      continue;
-    }
-    seen.push_back(head.plan);
-    const PlanKey& key = head.plan->key_;
-    obs::CallRecord rec;
-    rec.start_ns = t_start;
-    std::uint64_t class_items = 0;
-    for (std::size_t j = 0; j < runs.size(); ++j) {
-      if (runs[j].plan != head.plan) continue;
-      ++class_items;
-      rec.split_ns += split_ns[j];
-      rec.pack_ns += pack_ns[j];
-      const GroupedGemm& item = items[emulated[j]];
-      const std::size_t d_elems = key.m * key.n;
-      rec.bytes_moved += (key.m * key.k + key.k * key.n + d_elems +
-                          (item.c != nullptr ? d_elems : 0)) *
-                             sizeof(float) +
-                         head.plan->workspace_bytes_;
-    }
-    rec.flops = class_items * 2ULL * key.m * key.n * key.k;
-    const double share =
-        total_flops == 0
-            ? 1.0 / static_cast<double>(emulated.size())
-            : static_cast<double>(rec.flops) /
-                  static_cast<double>(total_flops);
-    rec.total_ns = static_cast<std::uint64_t>(
-        static_cast<double>(batch_wall) * share);
-    const auto engine_share = static_cast<std::uint64_t>(
-        static_cast<double>(engine_wall) * share);
-    if (wm + wc > 0) {
-      rec.mma_ns = static_cast<std::uint64_t>(
-          static_cast<double>(engine_share) * static_cast<double>(wm) /
-          static_cast<double>(wm + wc));
-      rec.combine_ns = engine_share - rec.mma_ns;
-    } else {
-      rec.mma_ns = engine_share;
-    }
-    rec.m = static_cast<std::uint32_t>(key.m);
-    rec.n = static_cast<std::uint32_t>(key.n);
-    rec.k = static_cast<std::uint32_t>(key.k);
-    rec.tid = obs::current_thread_id();
-    rec.batch_id = batch_id;
-    rec.batch = static_cast<std::uint32_t>(class_items);
-    rec.scheme = key.scheme;
-    rec.backend = static_cast<std::uint8_t>(key.backend);
-    rec.engine = static_cast<std::uint8_t>(key.engine);
-    rec.isa = static_cast<std::uint8_t>(simd::active_isa());
-    rec.lookup = obs::PlanLookup::kUnknown;
-    obs::record_call(rec);
-  }
-#endif  // EGEMM_OBSERVABILITY_ENABLED
+  run_pipeline(*this, runs, batch_id, obs::PlanLookup::kUnknown);
 }
 
 WorkspaceLease GemmContext::lease_workspace() {

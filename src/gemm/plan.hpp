@@ -212,8 +212,10 @@ class GemmPlan {
   const PlanKey& key() const noexcept { return key_; }
 
   /// Runs the plan: D = A x B (+ C) into caller-owned `d` (resized in
-  /// place). A/B/C extents must match the planned shape. Allocation-free
-  /// once `d` and the context's workspace pool have warmed up.
+  /// place). A/B/C extents must match the planned shape. Emulated plans
+  /// run as a one-item group through the same pipeline as
+  /// GemmContext::execute_grouped (DESIGN.md §13). Allocation-free once
+  /// `d` and the context's workspace pool have warmed up.
   void execute(GemmContext& ctx, const Matrix& a, const Matrix& b,
                const Matrix* c, Matrix& d) const;
 
@@ -306,11 +308,12 @@ class GemmContext {
                              const core::AccuracyContract& contract,
                              ExecEngine engine = ExecEngine::kPacked);
 
-  /// Executes a batch of planned GEMMs as ONE flattened (item x tile) task
-  /// stream (DESIGN.md §18): per-item prep (split, output init, pack) runs
-  /// parallel over items, then every output tile of every item enters a
-  /// single pool dispatch with a batch-aware grain, so small items no
-  /// longer serialize behind each other. Results are bit-identical to
+  /// Executes a batch of planned GEMMs through the one execute pipeline
+  /// (DESIGN.md §13, §18). Many items run as ONE flattened (item x tile)
+  /// task stream: per-item prep (split, output init, pack) runs parallel
+  /// over items, then every output tile of every item enters a single
+  /// pool dispatch with a batch-aware grain, so small items no longer
+  /// serialize behind each other. Results are bit-identical to
   /// calling item.plan->execute() in a loop (each output tile runs the
   /// exact same operation sequence; only the schedule changes). Per-call
   /// telemetry deposits one CallRecord per shape class, tagged with a

@@ -35,7 +35,10 @@ struct RingState {
 };
 
 RingState& state() {
-  static RingState instance;
+  // Never destroyed: pool workers reach this lazily, after global_pool()
+  // exists, so a static local would be torn down under a live worker at
+  // exit.
+  static RingState& instance = *new RingState;
   return instance;
 }
 

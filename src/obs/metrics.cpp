@@ -169,7 +169,10 @@ void Registry::reset() noexcept {
 }
 
 Registry& registry() {
-  static Registry instance;
+  // Never destroyed: pool workers reach this lazily, after global_pool()
+  // exists, so a static local would be torn down under a live worker at
+  // exit.
+  static Registry& instance = *new Registry;
   return instance;
 }
 

@@ -28,7 +28,10 @@ struct TraceState {
 };
 
 TraceState& state() {
-  static TraceState instance;
+  // Never destroyed: pool workers reach this lazily, after global_pool()
+  // exists, so a static local would be torn down under a live worker at
+  // exit.
+  static TraceState& instance = *new TraceState;
   return instance;
 }
 

@@ -108,6 +108,32 @@ class ScopedSpan {
     name                                                              \
   }
 
+/// RAII stage clock (DESIGN.md §17): a span under `name` when tracing is
+/// on and `name` is non-null, plus the scope's elapsed nanoseconds added
+/// to `*sink` when `sink` is non-null. One clock pair serves both; with
+/// neither wanted the scope reads no clock. This is the only way the GEMM
+/// pipeline times a stage.
+class StageScope {
+ public:
+  StageScope(const char* name, std::uint64_t* sink) noexcept : sink_(sink) {
+    if (tracing_enabled()) name_ = name;
+    if (name_ != nullptr || sink_ != nullptr) start_ns_ = monotonic_ns();
+  }
+  ~StageScope() {
+    if (name_ == nullptr && sink_ == nullptr) return;
+    const std::uint64_t end_ns = monotonic_ns();
+    if (sink_ != nullptr) *sink_ += end_ns - start_ns_;
+    if (name_ != nullptr) detail::record_span(name_, start_ns_, end_ns);
+  }
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+ private:
+  const char* name_ = nullptr;
+  std::uint64_t* sink_;
+  std::uint64_t start_ns_ = 0;
+};
+
 #else  // EGEMM_OBSERVABILITY_ENABLED
 
 /// Disabled build: empty type, macro compiles to nothing.
@@ -116,6 +142,14 @@ class ScopedSpan {
   explicit ScopedSpan(const char*) noexcept {}
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
+};
+
+/// Disabled build: empty type; the sink is never written.
+class StageScope {
+ public:
+  StageScope(const char*, std::uint64_t*) noexcept {}
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
 };
 
 #define EGEMM_TRACE_SCOPE(name) static_cast<void>(0)

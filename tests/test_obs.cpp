@@ -2,6 +2,7 @@
 // span recording/export, and the compile-time OFF guarantees. The registry
 // is process-global, so every test asserts deltas against a before-value or
 // uses test-unique metric names.
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -149,6 +150,31 @@ TEST(Trace, DisabledTracingRecordsNothing) {
     EGEMM_TRACE_SCOPE("ghost");
   }
   EXPECT_TRUE(collect_trace().empty());
+}
+
+TEST(Trace, StageScopeFeedsSinkAndSpanFromOneClockPair) {
+  clear_trace();
+  std::uint64_t sink = 0;
+  {
+    const StageScope untimed("untimed", nullptr);  // tracing off: no clock
+  }
+  set_tracing(true);
+  {
+    const StageScope stage("stage", &sink);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  set_tracing(false);
+  const std::vector<TraceEvent> events = collect_trace();
+  if (!kEnabled) {
+    EXPECT_EQ(sink, 0u);  // empty type: the sink is never written
+    EXPECT_TRUE(events.empty());
+    return;
+  }
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "stage");
+  EXPECT_EQ(events[0].dur_ns, sink);
+  EXPECT_GE(sink, 50'000u);
+  clear_trace();
 }
 
 TEST(Trace, ChromeExportCarriesSpansAndThreadNames) {
