@@ -59,10 +59,8 @@ thread_local const GemmPlan* tl_last_plan = nullptr;
 thread_local obs::PlanLookup tl_last_lookup = obs::PlanLookup::kUnknown;
 
 void note_lookup(const GemmPlan* plan, obs::PlanLookup lookup) noexcept {
-  if constexpr (obs::kEnabled) {
-    tl_last_plan = plan;
-    tl_last_lookup = lookup;
-  }
+  tl_last_plan = plan;
+  tl_last_lookup = lookup;
 }
 
 obs::PlanLookup take_lookup(const GemmPlan* plan) noexcept {
@@ -94,15 +92,17 @@ struct ItemRun {
 
 ItemRun make_run(const GemmPlan& plan, const Matrix& a, const Matrix& b,
                  const Matrix* c, Matrix& d) {
-  const bool packed = plan.engine() == ExecEngine::kPacked;
-  return ItemRun{.plan = &plan,
-                 .a = &a,
-                 .b = &b,
-                 .c = c,
-                 .d = &d,
-                 .row_blocks = (plan.m() + kTile - 1) / kTile,
-                 .col_blocks = packed ? (plan.n() + kTile - 1) / kTile
-                                      : std::min<std::size_t>(plan.n(), 1)};
+  ItemRun run;
+  run.plan = &plan;
+  run.a = &a;
+  run.b = &b;
+  run.c = c;
+  run.d = &d;
+  run.row_blocks = (plan.m() + kTile - 1) / kTile;
+  run.col_blocks = plan.engine() == ExecEngine::kPacked
+                       ? (plan.n() + kTile - 1) / kTile
+                       : std::min<std::size_t>(plan.n(), 1);
+  return run;
 }
 
 void expect_operands(const PlanKey& key, const Matrix& a, const Matrix& b,
@@ -188,7 +188,7 @@ void reference_row_block(const ItemRun& run, std::size_t rb,
     }
     compute_c_tile(acc, run.ws->a_planes(), run.ws->b_planes(), i0, j0, mt,
                    nt, run.plan->combos(), run.plan->order());
-    const obs::StageScope combine("combine", combine_ns);
+    const obs::ScopedSpan combine("combine", combine_ns);
     for (std::size_t i = 0; i < mt; ++i) {
       for (std::size_t j = 0; j < nt; ++j) {
         d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
@@ -256,7 +256,7 @@ void packed_tile(const ItemRun& run, std::size_t rb, std::size_t cb,
     tcsim::mma_tile_recipe(&acc[0][0], a_blocks, b_blocks, ncombos, k,
                            static_cast<int>(k), k_slab, fused);
   }
-  const obs::StageScope combine("combine", combine_ns);
+  const obs::ScopedSpan combine("combine", combine_ns);
   for (std::size_t i = 0; i < mt; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
       d.at(i0 + i, j0 + j) = canonical_store(acc[i][j]);
@@ -273,7 +273,7 @@ void walk_blocks(const ItemRun& run, std::size_t rb0, std::size_t rb1,
   std::uint64_t combine = 0;
   std::uint64_t* const combine_ns = stages != nullptr ? &combine : nullptr;
   {
-    const obs::StageScope mma("mma", stages != nullptr ? &wall : nullptr);
+    const obs::ScopedSpan mma("mma", stages != nullptr ? &wall : nullptr);
     if (run.plan->engine() == ExecEngine::kPacked) {
       EGEMM_COUNTER_ADD("egemm.tiles", (rb1 - rb0) * (cb1 - cb0));
       for (std::size_t rb = rb0; rb < rb1; ++rb) {
@@ -606,7 +606,7 @@ void prep_item(ItemRun& run, bool telemetry) {
   Workspace& ws = *run.ws;
   ws.ensure(key.m, key.n, key.k, key.planes);
   {
-    const obs::StageScope split("split", telemetry ? &run.split_ns : nullptr);
+    const obs::ScopedSpan split("split", telemetry ? &run.split_ns : nullptr);
     split_into_workspace(ws, *run.a, *run.b, key);
   }
   run.d->resize(key.m, key.n);
@@ -617,7 +617,7 @@ void prep_item(ItemRun& run, bool telemetry) {
     run.d->fill(0.0f);
   }
   if (key.engine == ExecEngine::kPacked) {
-    const obs::StageScope pack("pack", telemetry ? &run.pack_ns : nullptr);
+    const obs::ScopedSpan pack("pack", telemetry ? &run.pack_ns : nullptr);
     ws.pack();
   }
 }
@@ -671,7 +671,7 @@ void run_pipeline(GemmContext& ctx, std::span<ItemRun> runs,
     ItemRun& run = runs[0];
     run.ws = &*lease;
     prep_item(run, telemetry);
-    const obs::StageScope engine(nullptr, telemetry ? &engine_ns : nullptr);
+    const obs::ScopedSpan engine(nullptr, telemetry ? &engine_ns : nullptr);
     util::global_pool().parallel_for_2d(
         run.row_blocks, run.col_blocks, run.plan->schedule_grain(),
         [&](std::size_t rb0, std::size_t rb1, std::size_t cb0,
@@ -697,7 +697,7 @@ void run_pipeline(GemmContext& ctx, std::span<ItemRun> runs,
             : std::max<std::uint64_t>(1, 2 * work / total_blocks);
     const auto grain = static_cast<std::size_t>(
         std::max<std::uint64_t>(1, kMinChunkFlops / avg_block_flops));
-    const obs::StageScope engine(nullptr, telemetry ? &engine_ns : nullptr);
+    const obs::ScopedSpan engine(nullptr, telemetry ? &engine_ns : nullptr);
     util::global_pool().parallel_for(
         total_blocks, grain, [&](std::size_t g0, std::size_t g1) {
           walk_stream(runs, g0, g1, stages);
@@ -961,7 +961,7 @@ std::shared_ptr<const GemmPlan> GemmContext::plan_for(const PlanKey& key,
   std::shared_ptr<const GemmPlan> created;
   std::uint64_t build_ns = 0;
   {
-    const obs::StageScope build("plan", &build_ns);
+    const obs::ScopedSpan build("plan", &build_ns);
     created = std::shared_ptr<const GemmPlan>(new GemmPlan(key, grain));
   }
   EGEMM_LATENCY_RECORD("gemm.plan.build.latency", build_ns);

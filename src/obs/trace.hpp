@@ -81,24 +81,30 @@ void clear_trace();
 #if EGEMM_OBSERVABILITY_ENABLED
 
 /// RAII span: records [construction, destruction) under `name` when
-/// tracing was enabled at construction. `name` must outlive the trace
-/// (pass a string literal).
+/// tracing was enabled at construction (a null `name` records no span).
+/// `name` must outlive the trace (pass a string literal). When `sink` is
+/// non-null the scope's elapsed nanoseconds are also added to `*sink` --
+/// the GEMM pipeline's stage clock (DESIGN.md §17). One clock pair serves
+/// both; with neither wanted the scope reads no clock.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name) noexcept {
-    if (tracing_enabled()) {
-      name_ = name;
-      start_ns_ = monotonic_ns();
-    }
+  explicit ScopedSpan(const char* name, std::uint64_t* sink = nullptr) noexcept
+      : sink_(sink) {
+    if (tracing_enabled()) name_ = name;
+    if (name_ != nullptr || sink_ != nullptr) start_ns_ = monotonic_ns();
   }
   ~ScopedSpan() {
-    if (name_ != nullptr) detail::record_span(name_, start_ns_, monotonic_ns());
+    if (name_ == nullptr && sink_ == nullptr) return;
+    const std::uint64_t end_ns = monotonic_ns();
+    if (sink_ != nullptr) *sink_ += end_ns - start_ns_;
+    if (name_ != nullptr) detail::record_span(name_, start_ns_, end_ns);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
   const char* name_ = nullptr;
+  std::uint64_t* sink_;
   std::uint64_t start_ns_ = 0;
 };
 
@@ -108,48 +114,15 @@ class ScopedSpan {
     name                                                              \
   }
 
-/// RAII stage clock (DESIGN.md §17): a span under `name` when tracing is
-/// on and `name` is non-null, plus the scope's elapsed nanoseconds added
-/// to `*sink` when `sink` is non-null. One clock pair serves both; with
-/// neither wanted the scope reads no clock. This is the only way the GEMM
-/// pipeline times a stage.
-class StageScope {
- public:
-  StageScope(const char* name, std::uint64_t* sink) noexcept : sink_(sink) {
-    if (tracing_enabled()) name_ = name;
-    if (name_ != nullptr || sink_ != nullptr) start_ns_ = monotonic_ns();
-  }
-  ~StageScope() {
-    if (name_ == nullptr && sink_ == nullptr) return;
-    const std::uint64_t end_ns = monotonic_ns();
-    if (sink_ != nullptr) *sink_ += end_ns - start_ns_;
-    if (name_ != nullptr) detail::record_span(name_, start_ns_, end_ns);
-  }
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  std::uint64_t* sink_;
-  std::uint64_t start_ns_ = 0;
-};
-
 #else  // EGEMM_OBSERVABILITY_ENABLED
 
-/// Disabled build: empty type, macro compiles to nothing.
+/// Disabled build: empty type (the sink is never written), macro compiles
+/// to nothing.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char*) noexcept {}
+  explicit ScopedSpan(const char*, std::uint64_t* = nullptr) noexcept {}
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-/// Disabled build: empty type; the sink is never written.
-class StageScope {
- public:
-  StageScope(const char*, std::uint64_t*) noexcept {}
-  StageScope(const StageScope&) = delete;
-  StageScope& operator=(const StageScope&) = delete;
 };
 
 #define EGEMM_TRACE_SCOPE(name) static_cast<void>(0)

@@ -152,15 +152,15 @@ TEST(Trace, DisabledTracingRecordsNothing) {
   EXPECT_TRUE(collect_trace().empty());
 }
 
-TEST(Trace, StageScopeFeedsSinkAndSpanFromOneClockPair) {
+TEST(Trace, ScopedSpanFeedsSinkAndSpanFromOneClockPair) {
   clear_trace();
   std::uint64_t sink = 0;
   {
-    const StageScope untimed("untimed", nullptr);  // tracing off: no clock
+    const ScopedSpan untimed("untimed", nullptr);  // tracing off: no clock
   }
   set_tracing(true);
   {
-    const StageScope stage("stage", &sink);
+    const ScopedSpan stage("stage", &sink);
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   set_tracing(false);
