@@ -17,10 +17,15 @@ namespace {
 
 // -- golden bit patterns -----------------------------------------------------
 
+// GoogleTest names each case by dumping the parameter's bytes, so the two
+// trailing bytes are an explicit zeroed member rather than uninitialised
+// padding; otherwise the case names change from one run to the next.
 struct Golden {
   float value;
   std::uint16_t bits;
+  std::uint16_t pad = 0;
 };
+static_assert(sizeof(Golden) == 8, "Golden must have no padding");
 
 class HalfGoldenTest : public ::testing::TestWithParam<Golden> {};
 
